@@ -458,44 +458,44 @@ func (d *doRun) mergeReadSets(rrElems, rrBytes []int64) {
 				p.allocsSaved += 2 // sort.Slice interface + closure
 			}
 		}
-		for _, r := range runs {
-			for s := r.lo; s < r.hi; {
+		if len(idxs) > 0 {
+			sort.Ints(idxs)
+			if rec {
+				p.allocsSaved++ // sort.Ints interface conversion
+			}
+		}
+		// One linear pass over the two sorted inputs, in index order:
+		// scalar indices already covered by a block run (or repeated)
+		// are skipped, and the recorded fetch cover comes out disjoint
+		// and coalesced — touching runs and indices merge — so a replay
+		// prefetches a few ranges, not one per scalar read.
+		ri, ii, done := 0, 0, -1
+		for ri < len(runs) || ii < len(idxs) {
+			var lo, hi int
+			if ri < len(runs) && (ii == len(idxs) || runs[ri].lo <= idxs[ii]) {
+				lo, hi = runs[ri].lo, runs[ri].hi
+				ri++
+			} else {
+				ix := idxs[ii]
+				ii++
+				if ix < done {
+					continue // covered by a block run, or a duplicate
+				}
+				lo, hi = ix, ix+1
+			}
+			done = hi
+			for s := lo; s < hi; {
 				owner, end := arr.ownerSpan(s)
-				e := r.hi
+				e := hi
 				if e > end {
 					e = end
 				}
 				tElems[owner] += int64(e - s)
 				tBytes[owner] += int64(e-s) * es
 				if rec && p.fcov != nil && owner != d.node {
-					p.fcov[id] = append(p.fcov[id], intRun{lo: s, hi: e})
+					p.fcov[id] = appendCover(p.fcov[id], s, e)
 				}
 				s = e
-			}
-		}
-		if len(idxs) > 0 {
-			sort.Ints(idxs)
-			if rec {
-				p.allocsSaved++ // sort.Ints interface conversion
-			}
-			ri, prev := 0, -1
-			for _, ix := range idxs {
-				if ix == prev {
-					continue
-				}
-				prev = ix
-				for ri < len(runs) && runs[ri].hi <= ix {
-					ri++
-				}
-				if ri < len(runs) && runs[ri].lo <= ix {
-					continue // already covered by a block run
-				}
-				owner, _ := arr.ownerSpan(ix)
-				tElems[owner]++
-				tBytes[owner] += es
-				if rec && p.fcov != nil && owner != d.node {
-					p.fcov[id] = append(p.fcov[id], intRun{lo: ix, hi: ix + 1})
-				}
 			}
 		}
 		d.mrRuns[id] = runs[:0]

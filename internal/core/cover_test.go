@@ -123,3 +123,95 @@ func TestCoverAdjacentRunMerges(t *testing.T) {
 		t.Fatalf("missing over full cover = %v", got)
 	}
 }
+
+// TestClaimPagesVsBitmapOracle checks the page-widened fetch claim
+// against a bitmap oracle: over random covers, disjoint pending sets,
+// page sizes and array lengths, the claim is exactly the pages touching
+// a requested element, clipped to [0, n), minus the cover and the
+// pending set. That makes it cover the request together with dcov and
+// dpend, stay disjoint from both, and stay inside the page-aligned hull.
+// Requests come both as distFetch builds them (the gaps of one range)
+// and as prefetchCover passes them (a recorded multi-run cover).
+func TestClaimPagesVsBitmapOracle(t *testing.T) {
+	r := rng.New(7)
+	pages := []int{1, 2, 3, 4, 5, 8, 16, 64}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + r.Intn(coverUniverse)
+		page := pages[r.Intn(len(pages))]
+		randRange := func() (int, int) {
+			lo := r.Intn(n)
+			return lo, lo + r.Intn(n-lo+1)
+		}
+		var cov, pend []intRun
+		for i := r.Intn(4); i > 0; i-- {
+			lo, hi := randRange()
+			cov = coverAdd(cov, lo, hi)
+		}
+		for i := r.Intn(3); i > 0; i-- {
+			lo, hi := randRange()
+			for _, g := range coverMissing(cov, lo, hi) {
+				pend = coverAdd(pend, g.lo, g.hi)
+			}
+		}
+		var req []intRun
+		qlo, qhi := randRange()
+		if trial%2 == 0 {
+			req = coverMissing(cov, qlo, qhi)
+		} else {
+			for i := 1 + r.Intn(3); i > 0; i-- {
+				lo, hi := randRange()
+				req = coverAdd(req, lo, hi)
+			}
+		}
+
+		covB, pendB, reqB := coverBits(t, cov), coverBits(t, pend), coverBits(t, req)
+		var want [coverUniverse]bool
+		for j := 0; j < n; j++ {
+			if covB[j] || pendB[j] {
+				continue
+			}
+			for i := j / page * page; i < (j/page+1)*page && i < n; i++ {
+				if reqB[i] {
+					want[j] = true
+				}
+			}
+		}
+		claim := claimPages(cov, pend, req, page, n)
+		if got := coverBits(t, claim); got != want {
+			t.Fatalf("trial %d: claimPages(cov %v, pend %v, req %v, page %d, n %d) = %v, want bits %v",
+				trial, cov, pend, req, page, n, claim, want)
+		}
+		// The derived properties, spelled out against the same bitmaps.
+		for j := 0; j < coverUniverse; j++ {
+			if reqB[j] && !want[j] && !covB[j] && !pendB[j] {
+				t.Fatalf("trial %d: requested %d neither claimed, cached nor pending", trial, j)
+			}
+			if want[j] && (j >= n || j < req[0].lo/page*page) {
+				t.Fatalf("trial %d: claimed %d outside the page hull clipped to [0,%d)", trial, j, n)
+			}
+		}
+	}
+}
+
+func TestClaimPagesEdges(t *testing.T) {
+	// One element misses: its whole page is claimed, clipped at n.
+	if got := claimPages(nil, nil, []intRun{{lo: 5, hi: 6}}, 4, 7); len(got) != 1 || got[0] != (intRun{lo: 4, hi: 7}) {
+		t.Fatalf("single miss claimed %v, want [4,7)", got)
+	}
+	// Cached and in-flight parts of the page are left out; two gaps in
+	// one page make one hull, not two overlapping claims.
+	got := claimPages([]intRun{{lo: 1, hi: 2}}, []intRun{{lo: 6, hi: 7}}, []intRun{{lo: 0, hi: 1}, {lo: 2, hi: 3}}, 8, 64)
+	want := []intRun{{lo: 0, hi: 1}, {lo: 2, hi: 6}, {lo: 7, hi: 8}}
+	if len(got) != len(want) {
+		t.Fatalf("claim = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("claim = %v, want %v", got, want)
+		}
+	}
+	// A page wholly in flight claims nothing (the caller waits).
+	if got := claimPages(nil, []intRun{{lo: 0, hi: 8}}, []intRun{{lo: 3, hi: 4}}, 8, 64); len(got) != 0 {
+		t.Fatalf("in-flight page claimed %v", got)
+	}
+}

@@ -551,37 +551,102 @@ func (g *Global[T]) restoreCheckpoint(node int, rd *wire.CommitReader, nRuns int
 // recorded remote ranges before the phase's VPs run, so every one of
 // their reads is a cache hit. Called at phase open, after the open
 // allgather (all peers can serve reads) and before any VP resumes (no
-// concurrent cover mutation); the recorded runs are remote-owned, so
-// installRange writes only ranges disjoint from the partitions the
-// read server serves.
+// concurrent cover mutation, so nothing is pending); the claim is
+// page-widened like any fetch, and fetchRuns installs only remote-owned
+// stretches, disjoint from the partition the read server serves.
 func (g *Global[T]) prefetchCover(self int, runs []intRun) {
 	if g.gs.dist == nil {
 		return
 	}
-	if err := g.fetchRuns(self, runs); err != nil {
+	g.dmu.Lock()
+	mine := g.claim(runs)
+	g.dmu.Unlock()
+	if err := g.fetchRuns(self, mine); err != nil {
 		panic(AbortError{Err: err})
 	}
 	g.dmu.Lock()
-	for _, r := range runs {
+	for _, r := range mine {
 		g.dcov = coverAdd(g.dcov, r.lo, r.hi)
 	}
 	g.dmu.Unlock()
+}
+
+// fetchPageBytes is the remote-fetch granularity: every fetch claim is
+// widened to whole pages of this many bytes of elements, so a phase
+// that reads a neighbor's boundary element by element pays one round
+// trip per page instead of one per element. Over-fetching is safe under
+// phase semantics: while a global phase is open every partition holds
+// its begin-of-phase values and nobody mutates them, so extra elements
+// are exactly what a later read would have fetched. Modeled traffic is
+// counted from the VPs' read sets, never from fetches, so the page grid
+// moves only the host-side wire counters.
+const fetchPageBytes = 4096
+
+// claim returns the fetch claim for the sorted, disjoint requested
+// ranges: each is widened to the page grid (clipped to [0, n)), and of
+// the widened hulls only the parts neither cached (dcov) nor in flight
+// (dpend) are claimed. Claims are therefore disjoint from each other and
+// from every other claimant's, which keeps the single flight intact.
+// The caller holds dmu.
+func (g *Global[T]) claim(req []intRun) []intRun {
+	page := fetchPageBytes / g.es
+	if page < 1 {
+		page = 1
+	}
+	return claimPages(g.dcov, g.dpend, req, page, g.n)
+}
+
+// claimPages is claim over explicit cover and pending sets: the
+// page-aligned hull of each requested range (page elements per page,
+// clipped to [0, n)), merged where hulls meet, minus cov and pend.
+func claimPages(cov, pend, req []intRun, page, n int) []intRun {
+	var out []intRun
+	hlo, hhi := 0, 0
+	for _, r := range req {
+		wlo := r.lo / page * page
+		whi := (r.hi + page - 1) / page * page
+		if whi > n {
+			whi = n
+		}
+		if wlo <= hhi && hlo < hhi {
+			if whi > hhi {
+				hhi = whi
+			}
+			continue
+		}
+		out = claimHull(out, cov, pend, hlo, hhi)
+		hlo, hhi = wlo, whi
+	}
+	return claimHull(out, cov, pend, hlo, hhi)
+}
+
+// claimHull appends the parts of [lo, hi) in neither cov nor pend.
+func claimHull(out, cov, pend []intRun, lo, hi int) []intRun {
+	if lo >= hi {
+		return out
+	}
+	for _, gap := range coverMissing(cov, lo, hi) {
+		out = append(out, coverMissing(pend, gap.lo, gap.hi)...)
+	}
+	return out
 }
 
 // distFetch ensures [lo, hi) of g is locally valid, fetching uncovered
 // remote subranges from their owners. The per-array cover doubles as the
 // fetch cache: within a phase a shared variable is immutable, so every
 // range is fetched at most once per node per phase, mirroring the
-// simulator's modeled read cache.
+// simulator's modeled read cache. Fetches are page-granular (see
+// fetchPageBytes): a miss claims the whole uncovered page around it.
 //
 // The single flight is fleet-wide across this node's VPs: a VP claims
-// the sub-gaps nobody else is fetching (dpend), releases the cover
-// mutex, and fetches over the wire concurrently with other claimants;
-// VPs whose whole gap is already in flight wait on the cover's
-// condition and are fanned the result — one wire ReadReq however many
-// VPs need the range. Claimed ranges are disjoint by construction, so
-// the unlocked installRange calls never overlap each other or a reader
-// (a VP only reads ranges the cover already includes).
+// the page-widened sub-gaps nobody else is fetching (dpend), releases
+// the cover mutex, and fetches over the wire concurrently with other
+// claimants; VPs whose whole gap is already in flight wait on the
+// cover's condition and are fanned the result — one wire ReadReq
+// however many VPs need the page. Claimed ranges are disjoint by
+// construction, so the unlocked installRange calls never overlap each
+// other or a reader (a VP only reads ranges the cover already
+// includes).
 func (g *Global[T]) distFetch(self, lo, hi int) {
 	gs := g.gs
 	g.dmu.Lock()
@@ -598,10 +663,7 @@ func (g *Global[T]) distFetch(self, lo, hi int) {
 			}
 			return
 		}
-		var mine []intRun
-		for _, gap := range missing {
-			mine = append(mine, coverMissing(g.dpend, gap.lo, gap.hi)...)
-		}
+		mine := g.claim(missing)
 		if len(mine) == 0 {
 			// Everything still missing is in flight from other VPs.
 			waited = true
@@ -721,6 +783,17 @@ func coverAdd(cov []intRun, lo, hi int) []intRun {
 		out = append(out, intRun{lo: lo, hi: hi})
 	}
 	return out
+}
+
+// appendCover appends [lo, hi) to cov, whose runs all end at or before
+// lo, extending the last run instead when the two touch — building a
+// sorted, coalesced cover from ascending input without a search.
+func appendCover(cov []intRun, lo, hi int) []intRun {
+	if n := len(cov); n > 0 && cov[n-1].hi == lo {
+		cov[n-1].hi = hi
+		return cov
+	}
+	return append(cov, intRun{lo: lo, hi: hi})
 }
 
 // coverSub removes [lo, hi) from cov, splitting runs that straddle an

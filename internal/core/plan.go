@@ -223,9 +223,10 @@ type phasePlan struct {
 	rrElems []int64
 	rrBytes []int64
 
-	// Distributed runs only: the merged remote cover per array id,
-	// prefetched at the next phase open so VPs find every range already
-	// cached and fetch nothing.
+	// Distributed runs only: the merged remote cover per array id —
+	// sorted, disjoint, with touching runs and scalar reads coalesced —
+	// prefetched (page-widened) at the next phase open so VPs find every
+	// range already cached and fetch nothing.
 	fcov [][]intRun
 
 	// Replay savings accounting (PlanCacheStats).

@@ -721,7 +721,7 @@ func (e *Engine) readLoop(p *peer) {
 			// EOF after the peer's bye (or once we are closing ourselves)
 			// is the orderly end of the link, not a failure.
 			if !p.sawBye.Load() && !e.closing.Load() {
-				e.setFatal(fmt.Errorf("dist: rank %d: read from rank %d (during %s): %w", e.rank, p.id, e.currentOp(), err))
+				e.setFatal(e.linkLost(p, err))
 			}
 			return
 		}
@@ -789,6 +789,23 @@ func (e *Engine) readLoop(p *peer) {
 			return
 		}
 	}
+}
+
+// linkLost words the error for a link that ended without a Bye. When
+// heartbeats are on and the peer had already been silent for more than
+// two intervals, the link most likely ended because the peer's own
+// detector gave up on a silent partition and closed it first; the
+// failure is then reported in the detector's terms, naming the peer as
+// unresponsive, rather than as a bare read error that races the local
+// detector.
+func (e *Engine) linkLost(p *peer, err error) error {
+	if e.hbInterval > 0 && e.hbTimeout > 0 {
+		if silent := time.Duration(time.Now().UnixNano() - p.lastRecv.Load()); silent > 2*e.hbInterval {
+			return fmt.Errorf("dist: rank %d: rank %d unresponsive for %v, then closed the link (%w) during %s",
+				e.rank, p.id, silent.Round(time.Millisecond), err, e.currentOp())
+		}
+	}
+	return fmt.Errorf("dist: rank %d: read from rank %d (during %s): %w", e.rank, p.id, e.currentOp(), err)
 }
 
 func (e *Engine) protocolFatal(from int, err error) {

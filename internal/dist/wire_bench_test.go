@@ -17,6 +17,10 @@ import (
 // workload: bytes on the wire, frame and flush counts, and host
 // wall-clock for the fixed-bundle baseline against adaptive bundling,
 // the delta commit codec, and everything combined with a flush stagger.
+// A second, fetch-bound workload records the remote-read path: every
+// rank reads its neighbor's boundary plane element by element each
+// phase, and page-granular fetching must serve that with at most two
+// read requests per rank per phase (the plane spans two 4 KiB pages).
 // Gated behind an environment variable so routine test runs stay fast:
 //
 //	BENCH_WIRE=1 go test -run TestWireBenchArtifact -v ./internal/dist/
@@ -85,8 +89,46 @@ func TestWireBenchArtifact(t *testing.T) {
 		Wire       counters `json:"wire"`
 	}
 
+	const (
+		haloPlane  = 32 * 32 // 8 KiB of float64: two fetch pages
+		haloPlanes = 16
+		haloN      = haloPlane * haloPlanes
+		haloIters  = 8
+	)
+	// haloProg is a fetch-bound halo exchange: each phase, the VPs
+	// split the neighbor's boundary plane and read it one element at a
+	// time (a stencil's access pattern), then relax their own points.
+	// The partition boundary falls on a page boundary, so each rank's
+	// halo is exactly two pages.
+	haloProg := func(rt *core.Runtime) {
+		u := core.AllocGlobal[float64](rt, "halo.u", haloN)
+		lo, hi := u.OwnerRange(rt)
+		for i, l := 0, u.Local(rt); i < len(l); i++ {
+			l[i] = float64(lo + i)
+		}
+		hlo := hi
+		if lo > 0 {
+			hlo = lo - haloPlane
+		}
+		for it := 0; it < haloIters; it++ {
+			rt.Do(benchVPs, func(vp *core.VP) {
+				vp.GlobalPhase(func() {
+					vlo, vhi := core.ChunkRange(haloPlane, benchVPs, vp.NodeRank())
+					var sum float64
+					for j := hlo + vlo; j < hlo+vhi; j++ {
+						sum += u.Read(vp, j)
+					}
+					olo, ohi := core.ChunkRange(hi-lo, benchVPs, vp.NodeRank())
+					for i := lo + olo; i < lo+ohi; i++ {
+						u.Write(vp, i, 0.5*u.Read(vp, i)+sum*1e-6)
+					}
+				})
+			})
+		}
+	}
+
 	const nodes = 2
-	measure := func(name string, mod func(cfg *Config)) config {
+	measure := func(name string, prog func(rt *core.Runtime), phases int, mod func(cfg *Config)) config {
 		var best float64
 		var agg counters
 		for rep := 0; rep < 3; rep++ { // best of 3 damps host noise
@@ -124,16 +166,16 @@ func TestWireBenchArtifact(t *testing.T) {
 		return config{
 			Name:       name,
 			BestSec:    best,
-			NsPerPhase: best * 1e9 / benchIters,
+			NsPerPhase: best * 1e9 / float64(phases),
 			Wire:       agg,
 		}
 	}
 
 	configs := []config{
-		measure("fixed-raw", nil),
-		measure("adaptive", func(cfg *Config) { cfg.BundleAdaptive = true }),
-		measure("delta", func(cfg *Config) { cfg.Codec = wire.CodecDelta }),
-		measure("adaptive-delta-staggered", func(cfg *Config) {
+		measure("fixed-raw", prog, benchIters, nil),
+		measure("adaptive", prog, benchIters, func(cfg *Config) { cfg.BundleAdaptive = true }),
+		measure("delta", prog, benchIters, func(cfg *Config) { cfg.Codec = wire.CodecDelta }),
+		measure("adaptive-delta-staggered", prog, benchIters, func(cfg *Config) {
 			cfg.BundleAdaptive = true
 			cfg.Codec = wire.CodecDelta
 			cfg.FlushStagger = 50 * time.Microsecond
@@ -153,6 +195,13 @@ func TestWireBenchArtifact(t *testing.T) {
 		t.Errorf("delta codec commit-stream reduction = %.2fx, want >= 1.5x", deltaRatio)
 	}
 
+	halo := measure("halo-fetch", haloProg, haloIters, nil)
+	haloPerRankPhase := float64(halo.Wire.ReadReqsSent) / (nodes * haloIters)
+	if halo.Wire.ReadReqsSent == 0 || haloPerRankPhase > 2 {
+		t.Errorf("halo fetch: %d read requests over %d ranks x %d phases (%.2f per rank per phase), want 1..2 per rank per phase",
+			halo.Wire.ReadReqsSent, nodes, haloIters, haloPerRankPhase)
+	}
+
 	doc := struct {
 		Note               string   `json:"note"`
 		Go                 string   `json:"go"`
@@ -163,6 +212,9 @@ func TestWireBenchArtifact(t *testing.T) {
 		Configs            []config `json:"configs"`
 		DeltaCommitRatio   float64  `json:"delta_commit_ratio"`
 		SeriesBitIdentical bool     `json:"series_bit_identical"`
+		HaloNote           string   `json:"halo_note"`
+		Halo               config   `json:"halo"`
+		HaloReqsPerPhase   float64  `json:"halo_read_reqs_per_rank_per_phase"`
 	}{
 		Note: "Wire-path tuning on a commit-heavy CG-transpose scatter workload (2 loopback ppm nodes, " +
 			"per-phase single-element Add runs into the neighbor's partition). bytes_on_wire/frames/flushes " +
@@ -178,6 +230,12 @@ func TestWireBenchArtifact(t *testing.T) {
 		Configs:            configs,
 		DeltaCommitRatio:   deltaRatio,
 		SeriesBitIdentical: true,
+		HaloNote: "Fetch-bound halo exchange (2 loopback ppm nodes, 8 phases, 4 VPs per node): each phase every rank " +
+			"reads its neighbor's 1024-element (8 KiB) boundary plane element by element. Remote fetches are " +
+			"page-granular (4 KiB), so the plane costs two read requests per rank per phase (<= 2 enforced) " +
+			"instead of one per element; reads_coalesced counts VP reads that waited on another VP's in-flight page.",
+		Halo:             halo,
+		HaloReqsPerPhase: haloPerRankPhase,
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -186,6 +244,6 @@ func TestWireBenchArtifact(t *testing.T) {
 	if err := os.WriteFile("../../BENCH_wire.json", append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("BENCH_wire.json: delta commit ratio %.2fx; baseline %.3fs, adaptive %.3fs, delta %.3fs",
-		deltaRatio, configs[0].BestSec, configs[1].BestSec, configs[2].BestSec)
+	t.Logf("BENCH_wire.json: delta commit ratio %.2fx; baseline %.3fs, adaptive %.3fs, delta %.3fs; halo %.3fs, %d read requests",
+		deltaRatio, configs[0].BestSec, configs[1].BestSec, configs[2].BestSec, halo.BestSec, halo.Wire.ReadReqsSent)
 }

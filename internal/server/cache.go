@@ -24,18 +24,37 @@ func newResultCache() *resultCache {
 	return &resultCache{m: make(map[string]*jobspec.Result)}
 }
 
-// get returns the cached result for hash, marked Cached, or nil. The
-// returned value is a shallow copy: the Series backing arrays are
-// shared but immutable by convention (nothing writes a stored result).
+// get returns the cached result for hash, marked Cached, or nil, and
+// counts the probe as a hit or a miss. Client lookups by hash probe
+// through get; a submission's outcome is counted once at admission
+// (count), and the dequeue-time re-check uses peek.
 func (c *resultCache) get(hash string) *jobspec.Result {
+	r := c.peek(hash)
+	c.count(r != nil)
+	return r
+}
+
+// count records one counted probe's outcome.
+func (c *resultCache) count(hit bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
+}
+
+// peek is get without counting. The returned value is a shallow copy:
+// the Series backing arrays are shared but immutable by convention
+// (nothing writes a stored result).
+func (c *resultCache) peek(hash string) *jobspec.Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.m[hash]
 	if !ok {
-		c.misses++
 		return nil
 	}
-	c.hits++
 	out := *r
 	out.Cached = true
 	return &out

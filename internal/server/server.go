@@ -72,7 +72,7 @@ type Server struct {
 	janitorStop chan struct{}
 
 	submitted, completed, failed, expired, cachedServed, running int64
-	jobsRetried, recoveriesRescaled                              int64
+	rejected, jobsRetried, recoveriesRescaled                    int64
 }
 
 // New builds a server from cfg without binding anything.
@@ -197,6 +197,7 @@ type JobStatus struct {
 type Metrics struct {
 	Jobs struct {
 		Submitted int64 `json:"submitted"`
+		Rejected  int64 `json:"rejected"`
 		Completed int64 `json:"completed"`
 		Failed    int64 `json:"failed"`
 		Expired   int64 `json:"expired"`
@@ -264,11 +265,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		req.Tenant = "default"
 	}
 	hash := req.Spec.Hash()
-	atomic.AddInt64(&s.submitted, 1)
 
+	// Counters reconcile at rest: every admitted submission is counted
+	// once in submitted and ends in exactly one terminal counter, and
+	// every cache-eligible admission counts exactly one cache hit or
+	// miss (rejected submissions count in rejected alone; GET
+	// /v1/results lookups count as cache probes of their own).
 	if !req.NoCache {
-		if res := s.cache.get(hash); res != nil {
+		if res := s.cache.peek(hash); res != nil {
+			s.cache.count(true)
+			atomic.AddInt64(&s.submitted, 1)
 			atomic.AddInt64(&s.cachedServed, 1)
+			atomic.AddInt64(&s.completed, 1)
 			j := s.registerJob(req, hash)
 			j.finish(StatusDone, res, "")
 			writeJSON(w, http.StatusOK, SubmitResponse{ID: j.ID, Status: StatusDone, Hash: hash, Result: res})
@@ -282,6 +290,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.q.Push(j); err != nil {
 		s.forgetJob(j.ID)
+		atomic.AddInt64(&s.rejected, 1)
 		var qe *QuotaError
 		var fe *QueueFullError
 		switch {
@@ -297,6 +306,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusServiceUnavailable, "%v", err)
 		}
 		return
+	}
+	atomic.AddInt64(&s.submitted, 1)
+	if !req.NoCache {
+		s.cache.count(false)
 	}
 	writeJSON(w, http.StatusAccepted, SubmitResponse{
 		ID: j.ID, Status: StatusQueued, Hash: hash, QueuePosition: s.q.Position(j.ID),
@@ -401,6 +414,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var m Metrics
 	m.Jobs.Submitted = atomic.LoadInt64(&s.submitted)
+	m.Jobs.Rejected = atomic.LoadInt64(&s.rejected)
 	m.Jobs.Completed = atomic.LoadInt64(&s.completed)
 	m.Jobs.Failed = atomic.LoadInt64(&s.failed)
 	m.Jobs.Expired = atomic.LoadInt64(&s.expired)
@@ -451,9 +465,11 @@ func (s *Server) runJob(j *Job) {
 	atomic.AddInt64(&s.running, 1)
 	defer atomic.AddInt64(&s.running, -1)
 
-	// A duplicate may have completed while this one queued.
+	// A duplicate may have completed while this one queued. The
+	// re-check does not count: the submit-time probe already counted
+	// this job's miss.
 	if !j.NoCache {
-		if res := s.cache.get(j.Hash); res != nil {
+		if res := s.cache.peek(j.Hash); res != nil {
 			atomic.AddInt64(&s.cachedServed, 1)
 			atomic.AddInt64(&s.completed, 1)
 			j.finish(StatusDone, res, "")
